@@ -143,6 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "omit to replay flat out)")
     serve.add_argument("--control", default=None,
                        help="control socket: unix:/path or tcp:host:port")
+    serve.add_argument("--ready-fd", type=int, default=None,
+                       help="inherited pipe fd: write one line, then close "
+                            "it, once the feed and control sockets accept")
     serve.add_argument("--snapshot-dir", default=None,
                        help="directory for warm-restart snapshots")
     serve.add_argument("--snapshot-interval", type=float, default=None,
@@ -748,6 +751,7 @@ def cmd_serve(args) -> int:
         snapshot_dir=args.snapshot_dir,
         snapshot_interval=args.snapshot_interval,
         control=args.control,
+        ready_fd=args.ready_fd,
         handle_signals=True,
     )
     if args.restore is not None:

@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.filters.base import Verdict
 from repro.filters.blocklist import BlockedConnectionStore
-from repro.fleet.daemon import FleetError, ShardDaemon
+from repro.fleet.daemon import FleetError, ShardDaemon, await_ready, log_tail
 from repro.fleet.spec import ShardFilterSpec
 from repro.net.packet import SocketPair
 from repro.net.table import PacketTable
@@ -128,12 +129,22 @@ class FleetSupervisor(ShardLifecycle):
         return os.path.join(self.workdir, MANIFEST_NAME)
 
     def launch(self) -> None:
-        """Boot every shard daemon and publish the fleet manifest."""
+        """Boot every shard daemon concurrently — start them all, then
+        await every readiness handshake — and publish the fleet manifest.
+
+        On any failure every child started is killed and reaped before
+        the error propagates, including lanes that never got a feed
+        connection (whose daemons would otherwise wait for a feed EOF).
+        Shards already running are left alone, so a second launch is a
+        no-op."""
+        booting = [daemon for daemon in self.daemons if not daemon.alive]
         try:
-            for daemon in self.daemons:
-                daemon.launch()
-        except FleetError:
-            self.stop()
+            for daemon in booting:
+                daemon.start()
+            await_ready(booting)
+        except BaseException:
+            for daemon in booting:
+                daemon.abort()
             raise
         self._write_manifest()
 
@@ -169,6 +180,7 @@ class FleetSupervisor(ShardLifecycle):
                     "log": daemon.log_path,
                     "pid": daemon.process.pid if daemon.process else None,
                     "restarts": daemon.restarts,
+                    "boot_s": daemon.boot_s,
                 }
                 for daemon in self.daemons
             ],
@@ -214,9 +226,11 @@ class FleetSupervisor(ShardLifecycle):
             self._recover(lane)
 
     def _recover(self, lane: int) -> None:
-        """Crash recovery: respawn (warm when a snapshot exists) and
-        resend the shard's entire retained epoch — the daemon's restored
-        ``skip`` discards the already-processed prefix exactly."""
+        """Crash recovery (and each rolling-restart step): kill and reap
+        whatever is left of the daemon, respawn it (warm when a snapshot
+        exists) and resend the shard's entire retained epoch — the
+        daemon's restored ``skip`` discards the already-processed prefix
+        exactly."""
         daemon = self.daemons[lane]
         daemon.restart()
         try:
@@ -224,7 +238,7 @@ class FleetSupervisor(ShardLifecycle):
                 daemon.send(chunk)
         except (BrokenPipeError, ConnectionResetError, OSError) as error:
             raise FleetError(
-                f"shard {daemon.label} died again during resend: {error}"
+                f"shard {daemon.label} died during resend: {error}"
             ) from error
         self._write_manifest()
 
@@ -275,13 +289,14 @@ class FleetSupervisor(ShardLifecycle):
         totals = {"packets": 0, "inbound_packets": 0, "inbound_dropped": 0,
                   "blocklist_entries": 0}
         for daemon in self.daemons:
+            lifecycle = {"restarts": daemon.restarts, "boot_s": daemon.boot_s}
             try:
                 with daemon.client() as client:
                     stats = client.stats()
             except (ControlError, OSError) as error:
-                shards[daemon.label] = {"error": str(error)}
+                shards[daemon.label] = {"error": str(error), **lifecycle}
                 continue
-            shards[daemon.label] = stats
+            shards[daemon.label] = {**stats, **lifecycle}
             totals["packets"] += stats.get("packets", 0)
             totals["inbound_packets"] += stats.get("inbound_packets", 0)
             totals["inbound_dropped"] += stats.get("inbound_dropped", 0)
@@ -298,55 +313,58 @@ class FleetSupervisor(ShardLifecycle):
     def rolling_restart(self) -> None:
         """Restart every shard in turn, warm from a fresh snapshot, with
         the rest of the fleet untouched — the fleet as a whole never
-        stops serving.  Per shard: snapshot (between chunks, so it is
+        stops serving, so lanes go one at a time: at most one shard is
+        ever down.  Per shard: snapshot (between chunks, so it is
         consistent), shutdown (queued frames are discarded — the resend
-        re-covers them), respawn with ``--restore``, resend the epoch."""
+        re-covers them), respawn with ``--restore``, resend the epoch.
+        A shard that dies mid-restart or lingers after acknowledging the
+        shutdown takes the crash path: kill, reap, warm relaunch, resend."""
         for lane, daemon in enumerate(self.daemons):
-            if not daemon.alive:
-                self._recover(lane)
-                continue
-            try:
-                with daemon.client() as client:
-                    client.snapshot()
-                    client.shutdown(timeout=None)
-            except (ControlError, OSError):
-                pass  # a shard dying mid-restart is just the crash path
-            daemon.wait(timeout=30)
-            daemon.relaunch(restore=daemon.has_snapshot())
-            try:
-                for chunk in self._retained[lane]:
-                    daemon.send(chunk)
-            except (BrokenPipeError, ConnectionResetError, OSError) as error:
-                raise FleetError(
-                    f"shard {daemon.label} died during rolling restart: "
-                    f"{error}"
-                ) from error
-        self._write_manifest()
+            if daemon.alive:
+                try:
+                    with daemon.client() as client:
+                        client.snapshot()
+                        client.shutdown(timeout=None)
+                except (ControlError, OSError):
+                    pass  # a shard dying mid-restart is just the crash path
+                try:
+                    daemon.wait(timeout=30)
+                except subprocess.TimeoutExpired:
+                    pass  # the relaunch below kills and reaps it
+            self._recover(lane)
 
     # -- drain ----------------------------------------------------------
 
     def flush(self, timeout: float = 120.0) -> None:
         """Block until every shard has processed every frame sent to it
-        (recovering shards that died since the last send)."""
+        (recovering shards that died since the last send).
+
+        Each shard answers a ``flush`` control request once its
+        ``chunks_done`` reaches the frames sent; the deadline left is the
+        request's timeout.  A shard that drops the request is on its way
+        out (killed, or its feed broke): once it has exited it is
+        recovered and asked again.  One still running at the deadline
+        fails the flush."""
         deadline = time.monotonic() + timeout
         for lane, daemon in enumerate(self.daemons):
             while True:
                 if not daemon.alive:
                     self._recover(lane)
+                remaining = max(0.0, deadline - time.monotonic())
                 try:
-                    with daemon.client() as client:
-                        health = client.health()
-                except (ControlError, OSError):
-                    health = None
-                if (health is not None
-                        and health.get("chunks_done", 0) >= daemon.frames_sent):
+                    with daemon.client(timeout=remaining) as client:
+                        client.flush(daemon.frames_sent)
                     break
-                if time.monotonic() >= deadline:
-                    raise FleetError(
-                        f"shard {daemon.label} did not flush within "
-                        f"{timeout:.0f}s ({health})"
-                    )
-                time.sleep(0.05)
+                except (ControlError, OSError) as error:
+                    try:
+                        daemon.wait(
+                            timeout=max(0.0, deadline - time.monotonic())
+                        )
+                    except subprocess.TimeoutExpired:
+                        raise FleetError(
+                            f"shard {daemon.label} did not flush within "
+                            f"{timeout:.0f}s: {error}"
+                        ) from error
 
     def drain(self, timeout: float = 120.0) -> FleetResult:
         """Finalize the fleet and merge the verdict.
@@ -365,18 +383,17 @@ class FleetSupervisor(ShardLifecycle):
         use_blocklist = self.spec.use_blocklist
         merged_blocked: Dict[SocketPair, float] = {}
 
+        # Two passes: request every shard's final snapshot and drain
+        # first, then reap them all, so the daemons' exits overlap.
         for daemon in self.daemons:
-            snapshot_doc = None
             try:
                 with daemon.client() as client:
-                    path = client.snapshot()
-                    snapshot_doc = read_snapshot(path)
+                    snapshot_doc = read_snapshot(client.snapshot())
                     summary = client.drain(timeout=None)
             except (ControlError, OSError) as error:
                 raise FleetError(
                     f"shard {daemon.label} failed to drain: {error}"
                 ) from error
-            daemon.wait(timeout=30)
             result.per_shard[daemon.label] = summary
             result.packets += summary.get("packets", 0)
             result.inbound_packets += summary.get("inbound_packets", 0)
@@ -389,6 +406,15 @@ class FleetSupervisor(ShardLifecycle):
                 merged_blocked.update(store._blocked)
                 result.suppressed_packets += store.suppressed_packets
                 result.suppressed_bytes += store.suppressed_bytes
+        for daemon in self.daemons:
+            try:
+                daemon.wait(timeout=30)
+            except subprocess.TimeoutExpired as error:
+                daemon.abort()
+                raise FleetError(
+                    f"shard {daemon.label} did not exit after draining:\n"
+                    f"{log_tail(daemon.log_path)}"
+                ) from error
             daemon.stop()
 
         if self._default_chunks:

@@ -15,6 +15,9 @@ Commands:
 ``drain``     stop ingesting, process the queue, finalize; returns the
               final summary (the response waits for completion)
 ``shutdown``  like drain but discards queued chunks
+``flush``     ``{"chunks": n}``: answer once ``chunks_done >= n`` (at
+              once when it already is); fails if the service finishes
+              short of ``n``
 
 Addresses are ``unix:/path/to.sock`` or ``tcp:host:port`` —
 :func:`parse_control_address` is shared by server, client and CLI.
@@ -75,6 +78,12 @@ async def handle_command(service: FilterService, request: dict) -> dict:
     if command == "shutdown":
         summary = await service.shutdown()
         return {"ok": True, "summary": summary}
+    if command == "flush":
+        chunks = request.get("chunks")
+        if isinstance(chunks, bool) or not isinstance(chunks, int) or chunks < 0:
+            raise ValueError(f"flush needs a chunk count >= 0: {chunks!r}")
+        return {"ok": True,
+                "chunks_done": await service.wait_for_chunks(chunks)}
     return {"ok": False, "error": f"unknown command: {command!r}"}
 
 
@@ -191,10 +200,10 @@ class ControlClient:
 
     ``connect_retry`` is the connect patience budget in seconds: while it
     lasts, refused or not-yet-bound sockets are retried with bounded
-    exponential backoff (50ms doubling to 1s), which is how a supervisor
-    polls shard daemons that are still booting without racing the socket
-    bind.  The default (``None``) keeps the historical single-attempt
-    behavior and raises the OS error as-is.
+    exponential backoff (50ms doubling to 1s), so a client started beside
+    a daemon that is still booting does not race the socket bind.  The
+    default (``None``) keeps the historical single-attempt behavior and
+    raises the OS error as-is.
     """
 
     #: First retry sleep; doubles per attempt up to the cap below.
@@ -287,6 +296,18 @@ class ControlClient:
 
     def shutdown(self, timeout: Any = _DEFAULT_TIMEOUT) -> dict:
         return self.request("shutdown", timeout=timeout)["summary"]
+
+    def flush(self, chunks: int, timeout: Any = _DEFAULT_TIMEOUT) -> int:
+        """Block until the service has processed ``chunks`` chunks;
+        returns its ``chunks_done``.  Running out of ``timeout`` raises
+        :class:`ControlError`."""
+        try:
+            return self.request("flush", timeout=timeout,
+                                chunks=chunks)["chunks_done"]
+        except socket_module.timeout as error:
+            raise ControlError(
+                f"flush to {chunks} chunks timed out: {error}"
+            ) from error
 
     def close(self) -> None:
         self._stream.close()

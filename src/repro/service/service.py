@@ -18,7 +18,10 @@ long-lived asyncio process:
   (filter bits + RNG, blocklist, metrics, pipeline counters, verdict
   fingerprint) every ``snapshot_interval`` seconds;
 * an optional **control server** (:mod:`repro.service.control`) serves
-  stats/health and accepts the same actions over a unix or TCP socket.
+  stats/health and accepts the same actions over a unix or TCP socket;
+* an optional **readiness pipe** (``ready_fd``) gets one line, then is
+  closed, once the source is bound and the control server accepts — a
+  supervisor waits on it instead of polling the control socket.
 
 Warm restart is :meth:`FilterService.restore`: rebuild the filter from
 the latest snapshot on the *same* clock (gap rotations still fire),
@@ -79,6 +82,7 @@ class FilterService:
         snapshot_dir: Optional[str] = None,
         snapshot_interval: Optional[float] = None,
         control: Optional[str] = None,
+        ready_fd: Optional[int] = None,
         handle_signals: bool = False,
     ) -> None:
         if speed is not None and speed <= 0:
@@ -99,6 +103,8 @@ class FilterService:
         self.snapshot_dir = snapshot_dir
         self.snapshot_interval = snapshot_interval
         self.control_address = control
+        #: Write end of the supervisor's readiness pipe (``None`` = none).
+        self.ready_fd = ready_fd
         #: Install SIGTERM/SIGINT handlers while running: the first
         #: signal drains gracefully (and schedules a final snapshot when
         #: a snapshot_dir is configured), a second one force-discards.
@@ -125,6 +131,9 @@ class FilterService:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._queue: Optional[asyncio.Queue] = None
         self._actions: Optional[asyncio.Queue] = None
+        #: Notified whenever ``chunks_done`` grows and when the service
+        #: finishes; the ``flush`` control verb waits on it.
+        self._progress: Optional[asyncio.Condition] = None
         self._control_server = None
         self._pace_trace0: Optional[float] = None
         self._pace_wall0: Optional[float] = None
@@ -189,12 +198,21 @@ class FilterService:
         self._loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue(maxsize=self.queue_depth)
         self._actions = asyncio.Queue()
+        self._progress = asyncio.Condition()
         if self.control_address is not None:
             from repro.service.control import start_control_server
 
             self._control_server = await start_control_server(
                 self, self.control_address
             )
+        if self.ready_fd is not None:
+            # The source is bound and the control server accepts: the
+            # first ``health`` request answers from here on.
+            fd, self.ready_fd = self.ready_fd, None
+            try:
+                os.write(fd, b"ready\n")
+            finally:
+                os.close(fd)
         signals_installed = []
         if self.handle_signals:
             for signum in (signal.SIGTERM, signal.SIGINT):
@@ -268,6 +286,22 @@ class FilterService:
     async def shutdown(self) -> dict:
         """Stop ingesting, discard the queue, finalize."""
         return await self._submit("shutdown")
+
+    async def wait_for_chunks(self, chunks: int) -> int:
+        """Block until at least ``chunks`` chunks are processed; returns
+        ``chunks_done``.  Raises :class:`ServiceError` when the service
+        finishes short of that count."""
+        if self._progress is None:
+            raise ServiceError("service is not running")
+        async with self._progress:
+            await self._progress.wait_for(
+                lambda: self.chunks_done >= chunks or self.finished
+            )
+        if self.chunks_done < chunks:
+            raise ServiceError(
+                f"service finished after {self.chunks_done} of {chunks} chunks"
+            )
+        return self.chunks_done
 
     # -- signal supervision ---------------------------------------------
 
@@ -408,6 +442,7 @@ class FilterService:
                 except Exception:
                     pass  # dying is no reason to lose the drain result
             self.state = "finished"
+            await self._notify_progress()
             summary = self._summary()
             for future in finalizers:
                 if not future.done():
@@ -422,6 +457,11 @@ class FilterService:
         await self._pace(chunk)
         await self._loop.run_in_executor(None, self.stepper.feed, chunk)
         self.chunks_done += 1
+        await self._notify_progress()
+
+    async def _notify_progress(self) -> None:
+        async with self._progress:
+            self._progress.notify_all()
 
     # -- action implementations -----------------------------------------
 

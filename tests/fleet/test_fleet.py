@@ -11,12 +11,15 @@ mid-trace crash-kill and a rolling restart.
 import argparse
 import json
 import os
+import subprocess
 
 import pytest
 
 from repro.filters.base import Verdict
 from repro.fleet import (
+    FleetError,
     FleetSupervisor,
+    ShardDaemon,
     ShardFilterSpec,
     offline_reference,
 )
@@ -87,6 +90,14 @@ class TestFleetIntegration:
             assert isinstance(rebuilt, HashShardPlan)
             assert all(s["status"] in ("running", "draining")
                        for s in supervisor.ping()["shards"])
+            # Each lane's boot time (spawn to ready line) and restart
+            # count, in the manifest, ping() and stats().
+            for shard in manifest["shards"]:
+                assert shard["restarts"] == 0 and shard["boot_s"] > 0
+            for shard in supervisor.ping()["shards"]:
+                assert shard["restarts"] == 0 and shard["boot_s"] > 0
+            for shard in supervisor.stats()["shards"].values():
+                assert shard["restarts"] == 0 and shard["boot_s"] > 0
 
             supervisor.feed(chunks_of(table))
             result = supervisor.drain()
@@ -125,6 +136,9 @@ class TestFleetIntegration:
 
         # The killed shard recovered once and every lane rolled once.
         assert result.restarts >= plan.lanes
+        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        assert sum(s["restarts"] for s in manifest["shards"]) == result.restarts
+        assert all(s["boot_s"] > 0 for s in manifest["shards"])
         reference = offline_reference(table, plan, spec)
         assert result.packets == reference.packets
         assert result.fingerprint == reference.fingerprint
@@ -133,11 +147,62 @@ class TestFleetIntegration:
     def test_boot_failure_reports_log_tail(self, tmp_path):
         # An argv the child's parser rejects: the daemon dies on boot
         # and the supervisor surfaces its stderr instead of hanging.
-        from repro.fleet.daemon import FleetError, ShardDaemon
-
         daemon = ShardDaemon(0, "bad", str(tmp_path),
                              ["--size-bits", "not-a-number"],
                              boot_timeout=10.0)
         with pytest.raises(FleetError, match="exited during boot"):
             daemon.launch()
         assert daemon.process.poll() is not None
+
+    def test_lingering_shard_takes_crash_path(self, tmp_path, monkeypatch):
+        """A shard that acknowledges the rolling restart's shutdown but
+        does not exit in time is killed and relaunched warm — the rest
+        of the fleet still rolls, and the verdict does not move."""
+        plan = HashShardPlan(2, seed=3)
+        spec = red_spec()
+        table = trace_table(duration=8.0)
+        chunks = chunks_of(table)
+        real_wait = ShardDaemon.wait
+        lingered = []
+
+        def wait_once(daemon, timeout=None):
+            if not lingered:
+                lingered.append(daemon.lane)
+                raise subprocess.TimeoutExpired("repro serve", timeout)
+            return real_wait(daemon, timeout)
+
+        monkeypatch.setattr(ShardDaemon, "wait", wait_once)
+        supervisor = FleetSupervisor(plan, str(tmp_path), spec=spec,
+                                     snapshot_every=2)
+        try:
+            supervisor.launch()
+            supervisor.feed(chunks[:len(chunks) // 2])
+            supervisor.rolling_restart()
+            supervisor.feed(chunks[len(chunks) // 2:])
+            result = supervisor.drain()
+        finally:
+            supervisor.stop()
+
+        assert lingered == [0]
+        assert result.restarts == plan.lanes
+        reference = offline_reference(table, plan, spec)
+        assert result.packets == reference.packets
+        assert result.fingerprint == reference.fingerprint
+        assert result.blocked == dict(reference.router.blocklist._blocked)
+
+    def test_shard_lingering_after_drain_fails_with_log_tail(
+            self, tmp_path, monkeypatch):
+        def never_exits(daemon, timeout=None):
+            raise subprocess.TimeoutExpired("repro serve", timeout)
+
+        supervisor = FleetSupervisor(HashShardPlan(2, seed=3), str(tmp_path),
+                                     spec=red_spec(), snapshot_every=0)
+        try:
+            supervisor.launch()
+            supervisor.feed(chunks_of(trace_table(duration=4.0)))
+            monkeypatch.setattr(ShardDaemon, "wait", never_exits)
+            with pytest.raises(FleetError, match="did not exit after draining"):
+                supervisor.drain()
+        finally:
+            supervisor.stop()
+        assert not any(daemon.alive for daemon in supervisor.daemons)

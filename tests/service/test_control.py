@@ -10,9 +10,10 @@ import pytest
 from repro.core.bitmap_filter import BitmapFilterConfig
 from repro.filters.bitmap import BitmapPacketFilter
 from repro.filters.policy import DropController
+from repro.net.stream import FrameWriter
 from repro.service import ControlClient, ControlError, FilterService
 from repro.service.control import parse_control_address
-from repro.service.sources import GeneratorSource, IdleSource
+from repro.service.sources import GeneratorSource, IdleSource, SocketSource
 from repro.workload import TraceConfig, TraceGenerator
 
 
@@ -209,3 +210,52 @@ class TestControlSocket:
             client.shutdown()
         thread.join(timeout=5.0)
         assert "error" not in box
+
+
+class TestFlushVerb:
+    def test_flush_waits_for_frames(self, tmp_path):
+        feed = str(tmp_path / "feed.sock")
+        sock = str(tmp_path / "ctl.sock")
+        address = f"unix:{sock}"
+        service = FilterService(SocketSource.unix(feed), make_filter(),
+                                control=address)
+        thread, box = run_in_thread(service)
+        wait_for_socket(sock)
+        chunks = list(generator_source())[:2]
+        feeder = socket.socket(socket.AF_UNIX)
+        feeder.connect(feed)
+        stream = feeder.makefile("wb")
+        writer = FrameWriter(stream)
+        try:
+            with ControlClient(address) as client:
+                assert client.flush(0) == 0  # already satisfied
+                with pytest.raises(ControlError, match="timed out"):
+                    client.flush(1, timeout=0.2)
+
+            flushed = {}
+
+            def flusher():
+                with ControlClient(address) as client:
+                    flushed["chunks_done"] = client.flush(2, timeout=10.0)
+
+            waiter = threading.Thread(target=flusher, daemon=True)
+            waiter.start()
+            writer.send(chunks[0])
+            waiter.join(timeout=0.3)
+            assert waiter.is_alive()  # one frame of two: still blocked
+            writer.send(chunks[1])
+            waiter.join(timeout=10.0)
+            assert not waiter.is_alive()
+            assert flushed["chunks_done"] == 2
+
+            with ControlClient(address, timeout=1.0) as client:
+                assert client.flush(2) == 2  # satisfied: answers at once
+                with pytest.raises(ControlError, match="chunk count"):
+                    client.request("flush", chunks=-1)
+        finally:
+            stream.close()
+            feeder.close()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert "error" not in box
+        assert box["result"].packets == sum(len(c) for c in chunks)
