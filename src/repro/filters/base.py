@@ -130,18 +130,19 @@ class FilterStats:
                 counters[Direction(key)] = count
         return stats
 
-    def merge(self, other: "FilterStats") -> "FilterStats":
-        """Accumulate another stats record into this one (in place).
+    def merge(self, other: "FilterStats", sign: int = 1) -> "FilterStats":
+        """Accumulate another stats record into this one (in place);
+        ``sign=-1`` takes it out again.
 
         Counters are pure sums, so merging per-worker stats from a
         partitioned replay is order-independent and exact.  Returns
         ``self`` so merges chain.
         """
         for direction in (Direction.OUTBOUND, Direction.INBOUND):
-            self.passed[direction] += other.passed[direction]
-            self.dropped[direction] += other.dropped[direction]
-            self.passed_bytes[direction] += other.passed_bytes[direction]
-            self.dropped_bytes[direction] += other.dropped_bytes[direction]
+            self.passed[direction] += sign * other.passed[direction]
+            self.dropped[direction] += sign * other.dropped[direction]
+            self.passed_bytes[direction] += sign * other.passed_bytes[direction]
+            self.dropped_bytes[direction] += sign * other.dropped_bytes[direction]
         return self
 
     def __add__(self, other: "FilterStats") -> "FilterStats":

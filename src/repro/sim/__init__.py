@@ -12,7 +12,7 @@ Every entry point drives the same stage pipeline in
 
 from repro.sim.engine import EventScheduler
 from repro.sim.metrics import DropRateSampler, ThroughputSeries
-from repro.sim.router import EdgeRouter
+from repro.sim.router import EdgeRouter, account_chunk
 from repro.sim.pipeline import (
     BatchedBackend,
     ExecutionBackend,
@@ -25,12 +25,7 @@ from repro.sim.pipeline import (
 )
 from repro.sim.replay import compare_drop_rates, replay
 from repro.sim.closedloop import ClosedLoopResult, ClosedLoopSimulator
-from repro.sim.fastpath import (
-    PacketColumns,
-    fast_replay,
-    process_packets_fast,
-    supports_fastpath,
-)
+from repro.sim.fastpath import PacketColumns, process_packets_fast
 from repro.sim.kernels import KERNELS, FilterKernel, kernel_for, register_kernel
 from repro.sim.parallel import LaneResult, ParallelReplayResult, parallel_replay
 
@@ -46,6 +41,7 @@ __all__ = [
     "ThroughputSeries",
     "DropRateSampler",
     "EdgeRouter",
+    "account_chunk",
     "ExecutionBackend",
     "SequentialBackend",
     "BatchedBackend",
@@ -59,7 +55,5 @@ __all__ = [
     "ClosedLoopSimulator",
     "ClosedLoopResult",
     "PacketColumns",
-    "fast_replay",
     "process_packets_fast",
-    "supports_fastpath",
 ]

@@ -17,7 +17,10 @@ the CLI — drives the same five-stage packet pipeline:
 
 Stages 2–5 are implemented once in :class:`repro.sim.router.EdgeRouter`
 (:meth:`~repro.sim.router.EdgeRouter.forward` per packet,
-:meth:`~repro.sim.router.EdgeRouter.process_batch` per chunk);
+:meth:`~repro.sim.router.EdgeRouter.forward_batch` /
+:meth:`~repro.sim.router.EdgeRouter.forward_table` per chunk, where a
+decide-only kernel runs stages 2, 3 and 5 and
+:func:`~repro.sim.router.account_chunk` runs stage 4 once);
 :class:`ReplayPipeline` adds the scheduler stage in front and the
 finalize hook (end-of-replay blocklist compaction, result assembly)
 behind.  An :class:`ExecutionBackend` decides *how* the stream traverses
@@ -296,31 +299,16 @@ class ReplayPipeline:
         return verdicts
 
     def _run_table_chunk(self, chunk: PacketTable) -> List[Verdict]:
-        verdicts = self.router.process_table(chunk)
-        inbound = dropped = 0
-        DROP = Verdict.DROP
-        for is_out, verdict in zip(chunk.outbound, verdicts):
-            if not is_out:
-                inbound += 1
-                if verdict is DROP:
-                    dropped += 1
-        self.inbound += inbound
-        self.dropped += dropped
-        if self.fingerprint is not None:
-            self.fingerprint = fingerprint_verdicts(self.fingerprint, verdicts)
-        return verdicts
+        return self._counted(*self.router.forward_table(chunk))
 
     def _run_chunk(self, chunk: List[Packet]) -> List[Verdict]:
-        verdicts = self.router.process_batch(chunk)
-        inbound = dropped = 0
-        INBOUND, DROP = Direction.INBOUND, Verdict.DROP
-        for packet, verdict in zip(chunk, verdicts):
-            if packet.direction is INBOUND:
-                inbound += 1
-                if verdict is DROP:
-                    dropped += 1
-        self.inbound += inbound
-        self.dropped += dropped
+        return self._counted(*self.router.forward_batch(chunk))
+
+    def _counted(self, verdicts: List[Verdict], tally) -> List[Verdict]:
+        """Count a routed chunk from its accounting-stage tally."""
+        inbound = Direction.INBOUND
+        self.inbound += tally.passed[inbound] + tally.dropped[inbound]
+        self.dropped += tally.dropped[inbound]
         if self.fingerprint is not None:
             self.fingerprint = fingerprint_verdicts(self.fingerprint, verdicts)
         return verdicts
@@ -481,7 +469,7 @@ class BatchedBackend(ExecutionBackend):
     first-class :meth:`PacketFilter.process_batch` protocol (router
     stage-split when no blocklist is attached, per-packet fallback when
     one is — blocked-σ suppression must interleave with verdicts, which
-    is also why the chain kernel declines blocklisted runs).
+    is also why the chain kernel does not fuse a blocklist).
     ``chunk_size`` bounds columnarization memory; ``None`` replays the
     stream as one chunk.
     """

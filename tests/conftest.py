@@ -67,3 +67,69 @@ def small_trace_specs():
     generator = TraceGenerator(TraceConfig(duration=60.0, connection_rate=8.0, seed=42))
     generator.packet_list()
     return generator.specs()
+
+
+# ----------------------------------------------------------------------
+# Child-process leak guard (used by the service and fleet suites)
+# ----------------------------------------------------------------------
+
+
+def _live_children() -> dict:
+    """This process's live children as ``{pid: command line}``.
+
+    Read from ``/proc/self/task/*/children`` (every thread's children);
+    zombies — exited, only waiting to be reaped — are not live.  Empty
+    where the kernel does not expose the files.
+    """
+    import glob
+
+    children = {}
+    for path in glob.glob("/proc/self/task/*/children"):
+        try:
+            with open(path) as handle:
+                pids = [int(pid) for pid in handle.read().split()]
+        except OSError:  # the thread exited meanwhile
+            continue
+        for pid in pids:
+            try:
+                with open(f"/proc/{pid}/stat") as handle:
+                    state = handle.read().rsplit(")", 1)[1].split()[0]
+                with open(f"/proc/{pid}/cmdline", "rb") as handle:
+                    argv = handle.read().split(b"\0")
+            except OSError:  # already gone
+                continue
+            if state != "Z":
+                children[pid] = " ".join(
+                    arg.decode(errors="replace") for arg in argv if arg
+                )
+    return children
+
+
+@pytest.fixture
+def no_leaked_children():
+    """Fail a test that leaves a child process running.
+
+    Children alive after the test (and after every fixture it used has
+    been torn down) that were not alive before are killed, reaped and
+    reported with their pid and command line.  The multiprocessing
+    resource tracker outlives tests by design and is ignored.
+    """
+    import os
+    import signal
+
+    before = set(_live_children())
+    yield
+    leaked = {
+        pid: command for pid, command in _live_children().items()
+        if pid not in before and "resource_tracker" not in command
+    }
+    for pid in leaked:
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass
+    if leaked:
+        pytest.fail("test left child processes running: " + "; ".join(
+            f"pid {pid}: {command}" for pid, command in sorted(leaked.items())
+        ))

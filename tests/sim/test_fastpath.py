@@ -6,8 +6,6 @@ through both engines across seeds and configurations and require exact
 agreement.
 """
 
-import random
-
 import pytest
 
 from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig, FieldMode
@@ -18,7 +16,8 @@ from repro.filters.blocklist import BlockedConnectionStore
 from repro.filters.policy import DropController
 from repro.filters.spi import SPIFilter
 from repro.net.packet import Direction
-from repro.sim.fastpath import PacketColumns, socket_key, supports_fastpath
+from repro.sim.fastpath import PacketColumns, socket_key
+from repro.sim.kernels import kernel_for
 from repro.sim.replay import replay
 from repro.sim.router import EdgeRouter
 from repro.workload.generator import TraceConfig, TraceGenerator
@@ -134,8 +133,8 @@ class TestRouterBatchEquivalence:
         class TracingSPIFilter(SPIFilter):
             pass
 
-        assert supports_fastpath(SPIFilter())
-        assert not supports_fastpath(TracingSPIFilter())
+        assert kernel_for(SPIFilter()) is not None
+        assert kernel_for(TracingSPIFilter()) is None
         legacy = replay(packets, TracingSPIFilter(), batched=False)
         batched = replay(packets, TracingSPIFilter(), batched=True)
         assert legacy.inbound_dropped == batched.inbound_dropped
@@ -174,52 +173,6 @@ class TestFilterProcessBatch:
         assert legacy.core.stats.as_dict() == batched.core.stats.as_dict()
         assert [v._bits for v in legacy.core.vectors] == \
             [v._bits for v in batched.core.vectors]
-
-
-class TestCoreProcessBatch:
-    def synthetic_ops(self, seed, count=3000):
-        """A randomized mark/lookup schedule crossing many rotations."""
-        rng = random.Random(seed)
-        now = 0.0
-        timestamps, outbound, pairs = [], [], []
-        for _ in range(count):
-            now += rng.expovariate(50.0)
-            timestamps.append(now)
-            outbound.append(rng.random() < 0.5)
-            pairs.append(tcp_pair(sport=2000 + rng.randrange(200)))
-        return timestamps, outbound, pairs
-
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_matches_per_packet_filter(self, seed):
-        timestamps, outbound, pairs = self.synthetic_ops(seed)
-        config = BitmapFilterConfig(size=2 ** 12, vectors=3, hashes=3,
-                                    rotate_interval=0.5)
-        legacy = BitmapFilter(config)
-        batched = BitmapFilter(config)
-        probability = 0.7  # exercises the RNG path
-
-        expected = []
-        for ts, out, pair in zip(timestamps, outbound, pairs):
-            legacy.advance_to(ts)
-            direction = Direction.OUTBOUND if out else Direction.INBOUND
-            expected.append(legacy.filter(pair, direction, probability))
-
-        memo = HashIndexMemo(batched.family)
-        keys = [
-            socket_key(pair, Direction.OUTBOUND if out else Direction.INBOUND, False)
-            for out, pair in zip(outbound, pairs)
-        ]
-        got = batched.process_batch(
-            timestamps, outbound, memo.get_many(keys), drop_probability=probability
-        )
-        assert expected == got
-        assert legacy.stats.as_dict() == batched.stats.as_dict()
-        assert legacy.idx == batched.idx
-        assert [v._bits for v in legacy.vectors] == [v._bits for v in batched.vectors]
-
-    def test_empty(self):
-        filt = BitmapFilter(BitmapFilterConfig(size=2 ** 10))
-        assert filt.process_batch([], [], []) == []
 
 
 class TestHashingBatchHelpers:
